@@ -104,6 +104,8 @@ class Request:
     no_host_waits: int = 0
     executing: int = 0
     completed_ns: Optional[int] = None
+    #: why the request ended; while still IN_FLIGHT, a non-empty value
+    #: is a failure deferred to an executing attempt (``_maybe_fail``)
     resolution: str = ""
     #: current rung on the hot -> warm -> cold ladder
     current_start: StartType = StartType.WARM
@@ -589,7 +591,6 @@ class ResilientGateway:
 
     def _on_hang_timeout(self, request: Request, attempt: Attempt, sandbox) -> None:
         """The hang timeout fired: write the attempt (and sandbox) off."""
-        now = self._clock._now
         if self.fenced:
             # The incarnation is dead but the node-local watchdog still
             # reclaims the hung sandbox; gateway bookkeeping stays
@@ -597,23 +598,9 @@ class ResilientGateway:
             self.cluster.hosts[attempt.host].destroy_sandbox(sandbox)
             return
         attempt.executing = False
-        attempt.status = "hung"
         request.executing -= 1
         self.cluster.hosts[attempt.host].destroy_sandbox(sandbox)
-        breaker = self.breakers.get(attempt.host)
-        if breaker is not None:
-            breaker.record_failure(now)
-        if self.obs.enabled:
-            self._counter(
-                "resilience.attempt_fail.hung", "failed attempts by kind"
-            ).inc()
-        if attempt.hedge or request.state.terminal:
-            return  # a hedge (or the completed race winner) owns the rest
-        previous = request.current_start
-        request.current_start = degrade(previous)
-        self.degradations.record(previous, request.current_start)
-        # The timeout itself was the wait; retry without further backoff.
-        self._launch(request, hedge=False)
+        self._attempt_failed(request, attempt, "hung")
 
     # ------------------------------------------------------------------
     # Outcomes
@@ -677,8 +664,19 @@ class ResilientGateway:
         request: Request,
         attempt: Attempt,
         kind: str,
-        retry_delay_ns: int,
+        retry_delay_ns: Optional[int] = None,
     ) -> None:
+        """Account one failed attempt and decide what happens next.
+
+        The one place an attempt ends badly, whatever the *kind*
+        (``transient``, ``hung`` or ``crash``).  A failed primary
+        degrades the request one rung and retries: at once after a hang
+        (the timeout itself was the wait), else after *retry_delay_ns*
+        — drawn from the backoff stream here when not given, so the
+        crash path draws only once a retry is certain.  A failed hedge
+        retries nothing (the primary path owns retries); it only settles
+        a failure the primary path deferred to it in ``_maybe_fail``.
+        """
         now = self._clock._now
         attempt.status = kind
         breaker = self.breakers.get(attempt.host)
@@ -688,22 +686,39 @@ class ResilientGateway:
             self._counter(
                 f"resilience.attempt_fail.{kind}", "failed attempts by kind"
             ).inc()
+        if request.state.terminal:
+            return  # the race winner (or a prior failure) owns the rest
         if attempt.hedge:
-            return  # hedges are fire-once; the primary path owns retries
+            if request.resolution and request.executing == 0:
+                self._maybe_fail(request, request.resolution)
+            return
         previous = request.current_start
         request.current_start = degrade(previous)
         self.degradations.record(previous, request.current_start)
+        if kind == "hung":
+            self._launch(request, hedge=False)
+            return
+        if retry_delay_ns is None:
+            retry_delay_ns = self.config.retry.backoff_ns(
+                max(1, request.primary_count), self._rng
+            )
+        label = "resilience-crash-retry" if kind == "crash" else "resilience-retry"
         self.engine.schedule_at(
             now + retry_delay_ns,
             lambda: self._launch(request, hedge=False),
-            label=f"resilience-retry:{request.request_id}",
+            label=f"{label}:{request.request_id}",
             transient=True,
         )
 
     def _maybe_fail(self, request: Request, reason: str) -> None:
         """Fail the request — unless an attempt is still executing, in
-        which case that attempt decides the outcome."""
-        if request.executing > 0 or request.state.terminal:
+        which case that attempt decides the outcome: its completion
+        resolves the request, and its failure settles the deferred
+        *reason* (kept in ``resolution`` meanwhile)."""
+        if request.state.terminal:
+            return
+        if request.executing > 0:
+            request.resolution = reason
             return
         request.state = RequestState.FAILED
         request.resolution = reason
@@ -736,7 +751,6 @@ class ResilientGateway:
         victims = self._inflight[host_index]
         self._inflight[host_index] = []
         host = self.cluster.hosts[host_index]
-        breaker = self.breakers.get(host_index)
         for request, attempt in victims:
             invocation = attempt.invocation
             assert invocation is not None
@@ -748,31 +762,8 @@ class ResilientGateway:
             if invocation.sandbox is not None:
                 host.destroy_sandbox(invocation.sandbox)
             attempt.executing = False
-            attempt.status = "crash"
             request.executing -= 1
-            if breaker is not None:
-                breaker.record_failure(now_ns)
-            if self.obs.enabled:
-                self._counter(
-                    "resilience.attempt_fail.crash", "failed attempts by kind"
-                ).inc()
-            if request.state.terminal:
-                continue
-            if attempt.hedge:
-                # The primary is still out (or its retry is scheduled).
-                continue
-            previous = request.current_start
-            request.current_start = degrade(previous)
-            self.degradations.record(previous, request.current_start)
-            delay = self.config.retry.backoff_ns(
-                max(1, request.primary_attempts), self._rng
-            )
-            self.engine.schedule_at(
-                now_ns + delay,
-                lambda r=request: self._launch(r, hedge=False),
-                label=f"resilience-crash-retry:{request.request_id}",
-                transient=True,
-            )
+            self._attempt_failed(request, attempt, "crash")
 
     def _handle_recover(self, host_index: int, now_ns: int) -> None:
         """Re-warm a recovered host so warm affinity can return to it."""

@@ -236,6 +236,35 @@ class TestHedging:
         assert request.state is RequestState.COMPLETED
 
 
+class TestFailureDeferredToHedge:
+    """A primary path that runs out of budget while a hedge executes
+    defers its failure to that hedge; if the hedge then fails too, the
+    deferred failure must still resolve the request."""
+
+    def test_hung_hedge_settles_the_deferred_failure(self):
+        config = ResilienceConfig(retry=RetryPolicy(max_attempts=1))
+        cluster, gateway = make_stack(hosts=2, config=config)
+        for host in cluster.hosts:
+            fault_all_resumes(host, hung_fault)
+        request = gateway.submit("fw")
+        cluster.engine.run(until=seconds(1))
+        primary, hedge = request.attempts
+        assert not primary.hedge and primary.status == "hung"
+        assert hedge.hedge and hedge.status == "hung"
+        assert request.state is RequestState.FAILED
+        assert request.resolution == "retry-budget"
+        audit(gateway)
+
+    def test_crashed_hedge_settles_the_deferred_failure(self):
+        # Seed 1399's retries-only run: request 85's last retry found the
+        # budget spent while a hedge executed, then the hedge's host
+        # crashed.  The request used to stay IN_FLIGHT forever.
+        from repro.experiments.chaos import ChaosConfig, run_chaos_mode
+
+        outcome = run_chaos_mode("retries-only", ChaosConfig(seed=1399))
+        assert outcome.ok, outcome.violations
+
+
 class TestCrashHandling:
     def make_injected(self, hosts=2):
         cluster, gateway = make_stack(hosts=hosts)
