@@ -26,26 +26,27 @@ violation is carried on the outcome for the caller (CLI exits non-zero).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.faas.cluster import FaaSCluster
-from repro.faas.function import FunctionSpec
+from repro.experiments.cell import (
+    STUDY_BREAKER,
+    SUMMED_COUNTERS,
+    CellOutcome,
+    Tally,
+    build_cell,
+    dispatch_suffix,
+    read_cell,
+    study_functions,
+)
 from repro.metrics.stats import percentile
 from repro.resilience import (
-    BreakerConfig,
-    FailureConfig,
-    FailureInjector,
     HedgePolicy,
-    RequestState,
     ResilienceConfig,
-    ResilientGateway,
     default_dispatch_policy,
     make_dispatch_policy,
 )
 from repro.sim.rng import RngRegistry
-from repro.sim.units import milliseconds, seconds, to_microseconds
-from repro.workloads import FirewallWorkload, SysbenchCpuWorkload
-from repro.workloads.base import WorkloadCategory
+from repro.sim.units import milliseconds, seconds
 
 #: Resilience modes the study compares, in rendering order.
 CHAOS_MODES: Tuple[str, ...] = ("breaker", "retries-only", "vanilla")
@@ -97,22 +98,9 @@ class ChaosConfig:
 
 
 @dataclass
-class ModeOutcome:
+class ModeOutcome(Tally):
     """One resilience mode's aggregate behaviour over a chaos run."""
 
-    mode: str
-    submitted: int = 0
-    completed: int = 0
-    shed: int = 0
-    failed: int = 0
-    retries: int = 0
-    hedges: int = 0
-    redundant_hedges: int = 0
-    degradations: Dict[str, int] = field(default_factory=dict)
-    breaker_opens: int = 0
-    crashes: int = 0
-    recoveries: int = 0
-    fired: Dict[str, int] = field(default_factory=dict)
     p50_us: float = 0.0
     p95_us: float = 0.0
     p99_us: float = 0.0
@@ -120,16 +108,6 @@ class ModeOutcome:
     #: HORSE exists for, and where the breaker-vs-retries gap shows
     ull_p50_us: float = 0.0
     ull_p99_us: float = 0.0
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def resolved(self) -> int:
-        return self.completed + self.shed + self.failed
-
-    @property
-    def ok(self) -> bool:
-        """Soundness: all requests terminal, all invariants held."""
-        return self.resolved == self.submitted and not self.violations
 
 
 @dataclass
@@ -145,20 +123,15 @@ class ChaosResult:
         return all(outcome.ok for outcome in self.outcomes.values())
 
 
-#: Breaker tuning for the study: trip fast (2 consecutive failures) and
-#: back off for a whole second — on a flaky host faulting more than half
-#: its resumes, a high open duty-cycle is what moves the p99.
-_STUDY_BREAKER = BreakerConfig(failure_threshold=2, open_ns=seconds(1))
-
-
-def _mode_resilience(mode: str, config: ChaosConfig) -> ResilienceConfig:
+def mode_resilience(mode: str, config: ChaosConfig) -> ResilienceConfig:
+    """The resilience stack one chaos mode runs its cells with."""
     # Recoveries restock to the full provisioning level; a half-warmed
     # host would turn every breaker exclusion elsewhere into cold starts.
     rewarm = config.warm_per_host
     dispatch = config.dispatch
     if mode == "breaker":
         return ResilienceConfig(
-            breaker=_STUDY_BREAKER, rewarm_per_host=rewarm, dispatch=dispatch
+            breaker=STUDY_BREAKER, rewarm_per_host=rewarm, dispatch=dispatch
         )
     if mode == "retries-only":
         return ResilienceConfig(
@@ -167,7 +140,7 @@ def _mode_resilience(mode: str, config: ChaosConfig) -> ResilienceConfig:
     if mode == "vanilla":
         # No uLL class in a vanilla deployment, hence no hedging either.
         return ResilienceConfig(
-            breaker=_STUDY_BREAKER,
+            breaker=STUDY_BREAKER,
             hedge=HedgePolicy.disabled(),
             rewarm_per_host=rewarm,
             dispatch=dispatch,
@@ -175,49 +148,56 @@ def _mode_resilience(mode: str, config: ChaosConfig) -> ResilienceConfig:
     raise ValueError(f"unknown chaos mode {mode!r}; choose from {CHAOS_MODES}")
 
 
-def _build_workloads(mode: str):
-    """The uLL firewall + background thumbnail pair for one mode.
+def aggregate_mode(mode: str, cells: Sequence[CellOutcome]) -> ModeOutcome:
+    """Fold one mode's cells into its :class:`ModeOutcome`.
 
-    The ``vanilla`` mode runs the *same* bodies but declassifies the
-    firewall out of the uLL category: same work, no HORSE fast path —
-    the apples-to-apples churn comparison.
+    Counters sum; latency percentiles are computed over the pooled
+    per-cell latency lists, so they describe the whole cluster, not an
+    average of averages.
     """
-    firewall = FirewallWorkload()
-    firewall.name = "firewall"
-    if mode == "vanilla":
-        firewall.category = WorkloadCategory.BACKGROUND
-    background = SysbenchCpuWorkload()
-    background.name = "background"
-    return firewall, background
+    degradations: Dict[str, int] = {}
+    fired: Dict[str, int] = {}
+    for cell in cells:
+        for key, value in cell.degradations.items():
+            degradations[key] = degradations.get(key, 0) + value
+        for key, value in cell.fired.items():
+            fired[key] = fired.get(key, 0) + value
+    latencies = sorted(
+        value for cell in cells for value in cell.latencies_us
+    )
+    ull_latencies = sorted(
+        value for cell in cells for value in cell.ull_latencies_us
+    )
+    return ModeOutcome(
+        mode=mode,
+        **{
+            name: sum(getattr(cell, name) for cell in cells)
+            for name in SUMMED_COUNTERS
+        },
+        degradations=dict(sorted(degradations.items())),
+        fired=dict(sorted(fired.items())),
+        violations=[message for cell in cells for message in cell.violations],
+        p50_us=percentile(latencies, 50.0) if latencies else 0.0,
+        p95_us=percentile(latencies, 95.0) if latencies else 0.0,
+        p99_us=percentile(latencies, 99.0) if latencies else 0.0,
+        ull_p50_us=percentile(ull_latencies, 50.0) if ull_latencies else 0.0,
+        ull_p99_us=percentile(ull_latencies, 99.0) if ull_latencies else 0.0,
+    )
 
 
 def run_chaos_mode(mode: str, config: ChaosConfig) -> ModeOutcome:
     """One mode, one seeded run, fully drained and audited."""
-    resilience = _mode_resilience(mode, config)
-    firewall, background = _build_workloads(mode)
-    cluster = FaaSCluster(hosts=config.hosts, seed=config.seed)
-    cluster.register(FunctionSpec("firewall", firewall, memory_mb=128))
-    cluster.register(FunctionSpec("background", background, memory_mb=256))
-    use_horse = None if mode != "vanilla" else False
-    cluster.provision_warm(
-        "firewall", per_host=config.warm_per_host, use_horse=use_horse
-    )
-    cluster.provision_warm("background", per_host=config.warm_per_host)
-
-    gateway = ResilientGateway(cluster, resilience, seed=config.seed)
-    # Faults concentrate on the flaky hosts (calm hosts are nearly
-    # clean): that asymmetry is what per-node breakers exploit, and what
-    # separates the breaker and retries-only columns at the uLL p99.
-    injector = FailureInjector(
-        cluster,
-        FailureConfig(
-            failure_rate=config.failure_rate,
-            crash_mtbf_base_s=config.crash_mtbf_base_s,
-            calm_factor=0.05,
-        ),
+    cell = build_cell(
+        study_functions(vanilla=mode == "vanilla"),
+        hosts=config.hosts,
         seed=config.seed,
+        warm_per_host=config.warm_per_host,
+        resilience=mode_resilience(mode, config),
+        failure_rate=config.failure_rate,
+        crash_mtbf_base_s=config.crash_mtbf_base_s,
     )
-    gateway.attach(injector)
+    gateway = cell.gateway
+    engine = cell.cluster.engine
 
     # The arrival schedule comes from its own stream, so every mode sees
     # the identical workload and the identical failure schedule.
@@ -231,7 +211,7 @@ def run_chaos_mode(mode: str, config: ChaosConfig) -> ModeOutcome:
         ull = arrivals.random() < config.ull_fraction
         name = "firewall" if ull else "background"
         priority = 1 if ull else 0
-        cluster.engine.schedule_at(
+        engine.schedule_at(
             t,
             lambda name=name, priority=priority: gateway.submit(
                 name, priority=priority
@@ -239,44 +219,9 @@ def run_chaos_mode(mode: str, config: ChaosConfig) -> ModeOutcome:
             label=f"chaos-submit:{index}",
             transient=True,
         )
-    injector.schedule_crashes(until_ns=last)
-    cluster.engine.run(until=last + seconds(config.drain_s))
-
-    completed = gateway.by_state(RequestState.COMPLETED)
-    latencies = sorted(
-        to_microseconds(request.latency_ns) for request in completed
-    )
-    ull_latencies = sorted(
-        to_microseconds(request.latency_ns)
-        for request in completed
-        if request.function == "firewall"
-    )
-    violations = gateway.invariant_violations() + gateway.unresolved_violations()
-    return ModeOutcome(
-        mode=mode,
-        submitted=len(gateway.requests),
-        completed=len(latencies),
-        shed=len(gateway.by_state(RequestState.SHED)),
-        failed=len(gateway.by_state(RequestState.FAILED)),
-        retries=sum(request.retries for request in gateway.requests),
-        hedges=sum(request.hedges_used for request in gateway.requests),
-        redundant_hedges=sum(
-            request.redundant_hedges for request in gateway.requests
-        ),
-        degradations=dict(sorted(gateway.degradations.transitions.items())),
-        breaker_opens=sum(
-            breaker.open_count for breaker in gateway.breakers.values()
-        ),
-        crashes=cluster.stats.crashes,
-        recoveries=cluster.stats.recoveries,
-        fired=dict(injector.fired),
-        p50_us=percentile(latencies, 50.0) if latencies else 0.0,
-        p95_us=percentile(latencies, 95.0) if latencies else 0.0,
-        p99_us=percentile(latencies, 99.0) if latencies else 0.0,
-        ull_p50_us=percentile(ull_latencies, 50.0) if ull_latencies else 0.0,
-        ull_p99_us=percentile(ull_latencies, 99.0) if ull_latencies else 0.0,
-        violations=violations,
-    )
+    cell.injector.schedule_crashes(until_ns=last)
+    engine.run(until=last + seconds(config.drain_s))
+    return aggregate_mode(mode, [read_cell(cell, mode)])
 
 
 def run_chaos(
@@ -291,27 +236,15 @@ def run_chaos(
     return result
 
 
-def render_chaos(result: ChaosResult) -> str:
-    """Fixed-width summary table (byte-stable for the determinism check)."""
-    config = result.config
-    # The dispatch suffix only appears off the default so the header —
-    # and with it every pre-policy golden — is byte-stable.
-    dispatch = (
-        f" dispatch={config.dispatch}"
-        if config.dispatch != "push-least-loaded"
-        else ""
-    )
+def mode_table(outcomes: Sequence[ModeOutcome]) -> List[str]:
+    """The per-mode comparison table and detail lines, shared by the
+    chaos renders (byte-stable for the determinism checks)."""
     lines = [
-        f"chaos: hosts={config.hosts} requests={config.requests} "
-        f"failure_rate={config.failure_rate:g} seed={config.seed}"
-        f"{dispatch}",
-        "",
         f"{'mode':14s} {'done':>5s} {'shed':>5s} {'fail':>5s} {'retry':>6s} "
         f"{'hedge':>6s} {'degr':>5s} {'opens':>6s} "
         f"{'p99 us':>10s} {'uLL p50 us':>11s} {'uLL p99 us':>11s}",
     ]
-    for mode in result.outcomes:
-        outcome = result.outcomes[mode]
+    for outcome in outcomes:
         lines.append(
             f"{outcome.mode:14s} {outcome.completed:5d} {outcome.shed:5d} "
             f"{outcome.failed:5d} {outcome.retries:6d} {outcome.hedges:6d} "
@@ -320,8 +253,7 @@ def render_chaos(result: ChaosResult) -> str:
             f"{outcome.ull_p99_us:11.2f}"
         )
     lines.append("")
-    for mode in result.outcomes:
-        outcome = result.outcomes[mode]
+    for outcome in outcomes:
         degraded = (
             ", ".join(f"{k}:{v}" for k, v in outcome.degradations.items())
             or "none"
@@ -339,4 +271,17 @@ def render_chaos(result: ChaosResult) -> str:
                 f"{len(outcome.violations)} violations"
             )
             lines.extend(f"  {message}" for message in outcome.violations[:10])
+    return lines
+
+
+def render_chaos(result: ChaosResult) -> str:
+    """Fixed-width summary table (byte-stable for the determinism check)."""
+    config = result.config
+    lines = [
+        f"chaos: hosts={config.hosts} requests={config.requests} "
+        f"failure_rate={config.failure_rate:g} seed={config.seed}"
+        f"{dispatch_suffix(config.dispatch)}",
+        "",
+    ]
+    lines.extend(mode_table(list(result.outcomes.values())))
     return "\n".join(lines)

@@ -29,7 +29,6 @@ all.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,14 +38,17 @@ from repro.controlplane import (
     exactly_once_checker,
     terminal_outcomes,
 )
-from repro.experiments.chaos import _build_workloads
-from repro.faas.cluster import FaaSCluster
+from repro.experiments.cell import (
+    build_cluster,
+    dispatch_suffix,
+    host_injector,
+    record_host_failures,
+    study_functions,
+)
 from repro.faas.frontend import DISPATCH_LATENCY_NS, RoutedArrival, plan_arrivals
-from repro.faas.function import FunctionSpec
 from repro.metrics.stats import percentile
 from repro.resilience import (
     AdmissionConfig,
-    FailureConfig,
     FailureInjector,
     GatewayFailureConfig,
     GatewayFailureInjector,
@@ -56,7 +58,7 @@ from repro.resilience import (
 )
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.sim.sharding import assign_cells, merge_records, windowed_run
+from repro.sim.sharding import merge_records, run_cells, windowed_run
 from repro.sim.units import seconds, to_microseconds
 
 #: Tie-break rank for record kinds at equal timestamps within one cell.
@@ -193,23 +195,19 @@ def run_recovery_cell(
     host_injectors: List[FailureInjector] = []
     for index in range(config.gateways):
         shard_seed = rngs.fork(f"gateway-{index}").root_seed
-        cluster = FaaSCluster(
-            hosts=config.hosts, seed=shard_seed, engine=engine
+        cluster = build_cluster(
+            study_functions(),
+            hosts=config.hosts,
+            seed=shard_seed,
+            warm_per_host=config.warm_per_host,
+            engine=engine,
         )
-        firewall, background = _build_workloads("horse")
-        cluster.register(FunctionSpec("firewall", firewall, memory_mb=128))
-        cluster.register(FunctionSpec("background", background, memory_mb=256))
-        cluster.provision_warm("firewall", per_host=config.warm_per_host)
-        cluster.provision_warm("background", per_host=config.warm_per_host)
         shard = GatewayShard(index, cluster, resilience, seed=shard_seed)
         if config.failure_rate > 0.0:
-            injector = FailureInjector(
+            injector = host_injector(
                 cluster,
-                FailureConfig(
-                    failure_rate=config.failure_rate,
-                    crash_mtbf_base_s=config.crash_mtbf_base_s,
-                    calm_factor=0.05,
-                ),
+                config.failure_rate,
+                config.crash_mtbf_base_s,
                 seed=shard_seed,
                 domain=group,
             )
@@ -250,18 +248,7 @@ def run_recovery_cell(
         )
     )
     for cluster_index, injector in enumerate(host_injectors):
-        injector.on_crash.append(
-            lambda index, now, gw=cluster_index: records.append(
-                {"t": now, "shard": group, "kind": "crash",
-                 "gw": gw, "host": index}
-            )
-        )
-        injector.on_recover.append(
-            lambda index, now, gw=cluster_index: records.append(
-                {"t": now, "shard": group, "kind": "recover",
-                 "gw": gw, "host": index}
-            )
-        )
+        record_host_failures(injector, records, shard=group, gw=cluster_index)
 
     deadline_ns = seconds(config.deadline_s)
     deliveries = [
@@ -360,20 +347,6 @@ def run_recovery_cell(
     )
 
 
-def _run_cell_batch(payload) -> List[RecoveryCellOutcome]:
-    """Worker entry point (top-level, picklable): a batch of cells.
-
-    Each task is ``(config, group)`` — chaos cells and their
-    zero-gateway-failure oracle twins travel through the same pool,
-    distinguished only by the config they carry.
-    """
-    tasks, arrivals_by_group = payload
-    return [
-        run_recovery_cell(config, group, arrivals_by_group[group])
-        for config, group in tasks
-    ]
-
-
 @dataclass
 class ClusterRecoveryResult:
     config: ClusterRecoveryConfig
@@ -440,8 +413,6 @@ def run_recovery(
     byte-identical for any worker count.
     """
     config = config or ClusterRecoveryConfig()
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
     arrivals_by_group = plan_arrivals(
         requests=config.requests,
         groups=config.groups,
@@ -450,47 +421,18 @@ def run_recovery(
         seed=config.seed,
     )
     oracle_config = replace(config, gateway_failure_rate=0.0)
-    tasks: List[Tuple[ClusterRecoveryConfig, int]] = [
-        (config, group) for group in range(config.groups)
-    ] + [(oracle_config, group) for group in range(config.groups)]
-    assignment = assign_cells(len(tasks), shards)
-    payloads = [
-        (
-            [tasks[i] for i in batch],
-            {
-                group: arrivals_by_group[group]
-                for _cfg, group in (tasks[i] for i in batch)
-            },
-        )
-        for batch in assignment
+    groups = range(config.groups)
+    tasks = [
+        (cell_config, group, arrivals_by_group[group])
+        for cell_config in (config, oracle_config)
+        for group in groups
     ]
-    use_processes = shards > 1 if parallel is None else (parallel and shards > 1)
-    if use_processes:
-        import multiprocessing
-
-        method = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-        context = multiprocessing.get_context(method)
-        with context.Pool(processes=shards) as pool:
-            batches = pool.map(_run_cell_batch, payloads)
-    else:
-        batches = [_run_cell_batch(payload) for payload in payloads]
+    cells = run_cells(run_recovery_cell, tasks, shards, parallel)
 
     result = ClusterRecoveryResult(config=config)
     result.oracle_strict = config.failure_rate == 0.0
-    # Tasks are [chaos cells..., oracle cells...]; the pool preserves
-    # payload order, so the assignment indices identify each twin.
-    for batch_index, batch in enumerate(batches):
-        for offset, cell in enumerate(batch):
-            task_index = assignment[batch_index][offset]
-            task_config, group = tasks[task_index]
-            if task_config is config:
-                result.cells[group] = cell
-            else:
-                result.oracle_cells[group] = cell
+    result.cells = dict(zip(groups, cells[:config.groups]))
+    result.oracle_cells = dict(zip(groups, cells[config.groups:]))
     if result.oracle_strict:
         for group in range(config.groups):
             result.oracle_mismatches.extend(
@@ -517,17 +459,12 @@ def render_recovery(result: ClusterRecoveryResult) -> str:
         v for cell in cells for v in cell.recovery_latencies_us
     )
     steady_count = len(latencies) - len(recovery)
-    dispatch = (
-        f" dispatch={config.dispatch}"
-        if config.dispatch != "push-least-loaded"
-        else ""
-    )
     lines = [
         f"cluster-recovery: groups={config.groups} gateways={config.gateways} "
         f"hosts/gw={config.hosts} requests={config.requests} "
         f"gw_failure_rate={config.gateway_failure_rate:g} "
         f"host_failure_rate={config.failure_rate:g} seed={config.seed}"
-        f"{dispatch}",
+        f"{dispatch_suffix(config.dispatch)}",
         "",
         f"{'cell':>4s} {'subm':>5s} {'done':>5s} {'shed':>5s} {'fail':>5s} "
         f"{'gwcrash':>8s} {'redisp':>7s} {'fenced':>7s} {'parked':>7s} "
@@ -584,15 +521,3 @@ def render_recovery(result: ClusterRecoveryResult) -> str:
     )
     return "\n".join(lines)
 
-
-def trace_jsonl(result: ClusterRecoveryResult) -> str:
-    """The merged trace as canonical JSONL (byte-stable form)."""
-    return "".join(
-        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        for record in result.records
-    )
-
-
-def write_trace_jsonl(result: ClusterRecoveryResult, path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(trace_jsonl(result))

@@ -34,25 +34,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.chaos import _STUDY_BREAKER
+from repro.experiments.cell import (
+    STUDY_BREAKER,
+    build_cell,
+    read_cell,
+    study_functions,
+)
 from repro.faas.cluster import FaaSCluster
 from repro.faas.function import FunctionSpec
 from repro.metrics.stats import percentile
-from repro.resilience import (
-    FailureConfig,
-    FailureInjector,
-    RequestState,
-    ResilienceConfig,
-    ResilientGateway,
-)
+from repro.resilience import RequestState, ResilienceConfig, ResilientGateway
 from repro.resilience.policies import DISPATCH_POLICIES
 from repro.sim.rng import RngRegistry
 from repro.sim.units import milliseconds, seconds, to_microseconds
-from repro.workloads import (
-    FirewallWorkload,
-    MlInferenceWorkload,
-    SysbenchCpuWorkload,
-)
+from repro.workloads import MlInferenceWorkload
 
 #: Workload mixes the zoo compares, in rendering order.
 DISPATCH_MIXES: Tuple[str, ...] = ("balanced", "ull-heavy", "accel")
@@ -158,14 +153,7 @@ class DispatchZooResult:
 
 
 def _mix_functions(mix: str) -> List[FunctionSpec]:
-    firewall = FirewallWorkload()
-    firewall.name = "firewall"
-    background = SysbenchCpuWorkload()
-    background.name = "background"
-    specs = [
-        FunctionSpec("firewall", firewall, memory_mb=128),
-        FunctionSpec("background", background, memory_mb=256),
-    ]
+    specs = study_functions()
     if mix == "accel":
         infer = MlInferenceWorkload()
         infer.name = "infer"
@@ -216,47 +204,43 @@ def run_zoo_cell(
 ) -> ZooCell:
     """One policy under one failure rate and mix: seeded, drained,
     audited."""
-    cluster = FaaSCluster(hosts=config.hosts, seed=config.seed)
-    specs = _mix_functions(mix)
-    for spec in specs:
-        cluster.register(spec)
+    stack = build_cell(
+        _mix_functions(mix),
+        hosts=config.hosts,
+        seed=config.seed,
+        warm_per_host=config.warm_per_host,
+        resilience=ResilienceConfig(
+            breaker=STUDY_BREAKER,
+            rewarm_per_host=config.warm_per_host,
+            dispatch=policy,
+        ),
+        failure_rate=failure_rate,
+        crash_mtbf_base_s=config.crash_mtbf_base_s,
+    )
+    cluster, gateway = stack.cluster, stack.gateway
     if mix == "accel":
         # Half the fleet carries the accelerator — the heterogeneity the
         # eligibility filter (and sticky/pull placement) must respect.
+        # Tags only steer placement, so tagging the built stack leaves
+        # warming and every seeded stream exactly as they were.
         for index in range(config.hosts // 2):
             cluster.tag_accelerator(index, "gpu")
-    for spec in specs:
-        cluster.provision_warm(spec.name, per_host=config.warm_per_host)
-
-    resilience = ResilienceConfig(
-        breaker=_STUDY_BREAKER,
-        rewarm_per_host=config.warm_per_host,
-        dispatch=policy,
-    )
-    gateway = ResilientGateway(cluster, resilience, seed=config.seed)
-    injector = FailureInjector(
-        cluster,
-        FailureConfig(
-            failure_rate=failure_rate,
-            crash_mtbf_base_s=config.crash_mtbf_base_s,
-            calm_factor=0.05,
-        ),
-        seed=config.seed,
-    )
-    gateway.attach(injector)
 
     last = _schedule_arrivals(gateway, cluster, mix, config)
-    injector.schedule_crashes(until_ns=last)
+    stack.injector.schedule_crashes(until_ns=last)
     cluster.engine.run(until=last + seconds(config.drain_s))
 
-    cell = ZooCell(policy=policy, failure_rate=failure_rate, mix=mix)
-    cell.submitted = len(gateway.requests)
-    cell.completed = len(gateway.by_state(RequestState.COMPLETED))
-    cell.shed = len(gateway.by_state(RequestState.SHED))
-    cell.failed = len(gateway.by_state(RequestState.FAILED))
-    cell.crashes = cluster.stats.crashes
-    cell.violations = (
-        gateway.invariant_violations() + gateway.unresolved_violations()
+    totals = read_cell(stack, policy)
+    cell = ZooCell(
+        policy=policy,
+        failure_rate=failure_rate,
+        mix=mix,
+        submitted=totals.submitted,
+        completed=totals.completed,
+        shed=totals.shed,
+        failed=totals.failed,
+        crashes=totals.crashes,
+        violations=totals.violations,
     )
 
     by_class: Dict[str, List[float]] = {}

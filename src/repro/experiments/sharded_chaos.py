@@ -31,111 +31,53 @@ output or the trace mentions the worker count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.cell import (
+    CellOutcome,
+    build_cell,
+    dispatch_suffix,
+    read_cell,
+    record_host_failures,
+    study_functions,
+)
 from repro.experiments.chaos import (
     CHAOS_MODES,
-    ModeOutcome,
-    _build_workloads,
-    _mode_resilience,
+    ChaosConfig,
+    ChaosResult,
+    aggregate_mode,
+    mode_resilience,
+    mode_table,
 )
-from repro.faas.cluster import FaaSCluster
 from repro.faas.frontend import DISPATCH_LATENCY_NS, RoutedArrival, plan_arrivals
-from repro.faas.function import FunctionSpec
-from repro.metrics.stats import percentile
-from repro.resilience import (
-    FailureConfig,
-    FailureInjector,
-    RequestState,
-    ResilientGateway,
-    default_dispatch_policy,
-    make_dispatch_policy,
-)
 from repro.sim.rng import RngRegistry
-from repro.sim.sharding import assign_cells, merge_records, windowed_run
-from repro.sim.units import seconds, to_microseconds
+from repro.sim.sharding import merge_records, run_cells, windowed_run
+from repro.sim.units import seconds
 
 #: Tie-break rank for record kinds at equal timestamps within one cell.
 _KIND_ORDER = {"crash": 0, "recover": 1, "request": 2}
 
 
 @dataclass(frozen=True)
-class ShardedChaosConfig:
+class ShardedChaosConfig(ChaosConfig):
     """Shape of one sharded chaos run (identical across modes and
-    worker counts).  ``groups`` is the number of failure-domain cells —
-    a *model* parameter fixed by the config; the worker count is an
-    execution knob passed to :func:`run_sharded_chaos` separately, so
-    changing it cannot change the simulated system.
+    worker counts): the chaos study's shape, with ``hosts`` per cell.
+    ``groups`` is the number of failure-domain cells — a *model*
+    parameter fixed by the config; the worker count is an execution
+    knob passed to :func:`run_sharded_chaos` separately, so changing it
+    cannot change the simulated system.  ``requests`` is the global
+    count, routed across the cells.
     """
 
-    groups: int = 8
     #: hosts per cell (the legacy study's ``hosts``, per failure domain)
     hosts: int = 2
-    failure_rate: float = 0.1
-    #: global request count, routed across the cells
-    requests: int = 1200
-    mean_interarrival_ms: float = 5.0
-    ull_fraction: float = 0.5
-    warm_per_host: int = 3
-    drain_s: float = 60.0
-    crash_mtbf_base_s: float = 0.25
-    seed: int = 0
-    #: dispatch-policy spec for every cell's gateway (resolved at
-    #: construction, same convention as ChaosConfig)
-    dispatch: str = field(default_factory=default_dispatch_policy)
+    groups: int = 8
 
     def __post_init__(self) -> None:
         if self.groups < 1:
             raise ValueError(f"groups must be >= 1, got {self.groups}")
-        if self.hosts < 2:
-            raise ValueError(
-                f"each cell needs >= 2 hosts (hedging/steering), got {self.hosts}"
-            )
-        if not 0.0 <= self.failure_rate < 1.0:
-            raise ValueError(
-                f"failure_rate must be in [0, 1), got {self.failure_rate}"
-            )
-        if self.requests < 1:
-            raise ValueError(f"requests must be >= 1, got {self.requests}")
-        if self.warm_per_host < 1:
-            raise ValueError(
-                f"warm_per_host must be >= 1, got {self.warm_per_host}"
-            )
-        make_dispatch_policy(self.dispatch)  # validate eagerly
-
-
-@dataclass
-class CellOutcome:
-    """One (mode, failure-domain cell) sub-simulation's results.
-
-    Everything here is picklable plain data: cells cross the process
-    boundary on the way back from the workers.
-    """
-
-    mode: str
-    group: int
-    submitted: int = 0
-    completed: int = 0
-    shed: int = 0
-    failed: int = 0
-    retries: int = 0
-    hedges: int = 0
-    redundant_hedges: int = 0
-    degradations: Dict[str, int] = field(default_factory=dict)
-    breaker_opens: int = 0
-    crashes: int = 0
-    recoveries: int = 0
-    fired: Dict[str, int] = field(default_factory=dict)
-    #: sorted per-cell completion latencies (µs); pooled for percentiles
-    latencies_us: List[float] = field(default_factory=list)
-    ull_latencies_us: List[float] = field(default_factory=list)
-    violations: List[str] = field(default_factory=list)
-    events_executed: int = 0
-    windows: int = 0
-    #: per-cell trace stream, sorted by (t, kind, id) — merge input
-    records: List[dict] = field(default_factory=list)
+        super().__post_init__()
 
 
 def cell_seed(seed: int, group: int) -> int:
@@ -158,42 +100,20 @@ def run_cell(
     horizon it could still receive a dispatch below.
     """
     seed = cell_seed(config.seed, group)
-    resilience = _mode_resilience(mode, config)
-    firewall, background = _build_workloads(mode)
-    cluster = FaaSCluster(hosts=config.hosts, seed=seed)
-    cluster.register(FunctionSpec("firewall", firewall, memory_mb=128))
-    cluster.register(FunctionSpec("background", background, memory_mb=256))
-    use_horse = None if mode != "vanilla" else False
-    cluster.provision_warm(
-        "firewall", per_host=config.warm_per_host, use_horse=use_horse
-    )
-    cluster.provision_warm("background", per_host=config.warm_per_host)
-
-    gateway = ResilientGateway(cluster, resilience, seed=seed)
-    injector = FailureInjector(
-        cluster,
-        FailureConfig(
-            failure_rate=config.failure_rate,
-            crash_mtbf_base_s=config.crash_mtbf_base_s,
-            calm_factor=0.05,
-        ),
+    cell = build_cell(
+        study_functions(vanilla=mode == "vanilla"),
+        hosts=config.hosts,
         seed=seed,
+        warm_per_host=config.warm_per_host,
+        resilience=mode_resilience(mode, config),
+        failure_rate=config.failure_rate,
+        crash_mtbf_base_s=config.crash_mtbf_base_s,
         domain=group,
     )
-    gateway.attach(injector)
+    gateway, injector = cell.gateway, cell.injector
 
     records: List[dict] = []
-    engine = cluster.engine
-    injector.on_crash.append(
-        lambda index, now: records.append(
-            {"t": now, "shard": group, "mode": mode, "kind": "crash", "host": index}
-        )
-    )
-    injector.on_recover.append(
-        lambda index, now: records.append(
-            {"t": now, "shard": group, "mode": mode, "kind": "recover", "host": index}
-        )
-    )
+    record_host_failures(injector, records, shard=group, mode=mode)
 
     deliveries = [
         (
@@ -207,7 +127,7 @@ def run_cell(
     last = arrivals[-1].deliver_ns if arrivals else 0
     injector.schedule_crashes(until_ns=last)
     windows = windowed_run(
-        engine,
+        cell.cluster.engine,
         deliveries,
         lookahead_ns=DISPATCH_LATENCY_NS,
         drain_until=last + seconds(config.drain_s),
@@ -233,125 +153,22 @@ def run_cell(
         key=lambda r: (r["t"], _KIND_ORDER[r["kind"]], r.get("req", r.get("host", 0)))
     )
 
-    completed = gateway.by_state(RequestState.COMPLETED)
-    latencies = sorted(
-        to_microseconds(request.latency_ns) for request in completed
-    )
-    ull_latencies = sorted(
-        to_microseconds(request.latency_ns)
-        for request in completed
-        if request.function == "firewall"
-    )
-    violations = [
-        f"g{group}: {message}"
-        for message in gateway.invariant_violations()
-        + gateway.unresolved_violations()
-    ]
-    return CellOutcome(
-        mode=mode,
-        group=group,
-        submitted=len(gateway.requests),
-        completed=len(latencies),
-        shed=len(gateway.by_state(RequestState.SHED)),
-        failed=len(gateway.by_state(RequestState.FAILED)),
-        retries=sum(request.retries for request in gateway.requests),
-        hedges=sum(request.hedges_used for request in gateway.requests),
-        redundant_hedges=sum(
-            request.redundant_hedges for request in gateway.requests
-        ),
-        degradations=dict(sorted(gateway.degradations.transitions.items())),
-        breaker_opens=sum(
-            breaker.open_count for breaker in gateway.breakers.values()
-        ),
-        crashes=cluster.stats.crashes,
-        recoveries=cluster.stats.recoveries,
-        fired=dict(injector.fired),
-        latencies_us=latencies,
-        ull_latencies_us=ull_latencies,
-        violations=violations,
-        events_executed=engine.events_executed,
-        windows=windows,
-        records=records,
-    )
-
-
-def _run_cell_batch(payload) -> List[CellOutcome]:
-    """Worker entry point: run an assigned batch of (mode, group) cells.
-
-    Top-level (picklable) on purpose; receives only plain data.  Cells
-    run in task order inside the batch — irrelevant for results (each
-    cell is self-contained) but kept deterministic anyway.
-    """
-    config, tasks, arrivals_by_group = payload
-    return [
-        run_cell(mode, config, group, arrivals_by_group[group])
-        for mode, group in tasks
-    ]
+    outcome = read_cell(cell, mode, group)
+    outcome.violations = [f"g{group}: {message}" for message in outcome.violations]
+    outcome.windows = windows
+    outcome.records = records
+    return outcome
 
 
 @dataclass
-class ShardedChaosResult:
-    config: ShardedChaosConfig
-    outcomes: Dict[str, ModeOutcome] = field(default_factory=dict)
+class ShardedChaosResult(ChaosResult):
+    """The mode outcomes plus every cell and the merged trace."""
+
     cells: Dict[Tuple[str, int], CellOutcome] = field(default_factory=dict)
     #: deterministic merged trace (mode-major, then (t, shard, index))
     records: List[dict] = field(default_factory=list)
     events_executed: int = 0
     windows: int = 0
-
-    def outcome(self, mode: str) -> ModeOutcome:
-        return self.outcomes[mode]
-
-    @property
-    def ok(self) -> bool:
-        return all(outcome.ok for outcome in self.outcomes.values())
-
-
-def _aggregate_mode(
-    mode: str, cells: Sequence[CellOutcome]
-) -> ModeOutcome:
-    """Fold one mode's cells into the legacy ModeOutcome shape.
-
-    Counters sum; latency percentiles are computed over the pooled
-    per-cell latency lists, so they describe the whole sharded cluster,
-    not an average of averages.
-    """
-    degradations: Dict[str, int] = {}
-    fired: Dict[str, int] = {}
-    violations: List[str] = []
-    for cell in cells:
-        for key, value in cell.degradations.items():
-            degradations[key] = degradations.get(key, 0) + value
-        for key, value in cell.fired.items():
-            fired[key] = fired.get(key, 0) + value
-        violations.extend(cell.violations)
-    latencies = sorted(
-        value for cell in cells for value in cell.latencies_us
-    )
-    ull_latencies = sorted(
-        value for cell in cells for value in cell.ull_latencies_us
-    )
-    return ModeOutcome(
-        mode=mode,
-        submitted=sum(cell.submitted for cell in cells),
-        completed=sum(cell.completed for cell in cells),
-        shed=sum(cell.shed for cell in cells),
-        failed=sum(cell.failed for cell in cells),
-        retries=sum(cell.retries for cell in cells),
-        hedges=sum(cell.hedges for cell in cells),
-        redundant_hedges=sum(cell.redundant_hedges for cell in cells),
-        degradations=dict(sorted(degradations.items())),
-        breaker_opens=sum(cell.breaker_opens for cell in cells),
-        crashes=sum(cell.crashes for cell in cells),
-        recoveries=sum(cell.recoveries for cell in cells),
-        fired=dict(sorted(fired.items())),
-        p50_us=percentile(latencies, 50.0) if latencies else 0.0,
-        p95_us=percentile(latencies, 95.0) if latencies else 0.0,
-        p99_us=percentile(latencies, 99.0) if latencies else 0.0,
-        ull_p50_us=percentile(ull_latencies, 50.0) if ull_latencies else 0.0,
-        ull_p99_us=percentile(ull_latencies, 99.0) if ull_latencies else 0.0,
-        violations=violations,
-    )
 
 
 def run_sharded_chaos(
@@ -370,8 +187,6 @@ def run_sharded_chaos(
     either way, and for every worker count — that is the contract.
     """
     config = config or ShardedChaosConfig()
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
     arrivals_by_group = plan_arrivals(
         requests=config.requests,
         groups=config.groups,
@@ -379,41 +194,17 @@ def run_sharded_chaos(
         ull_fraction=config.ull_fraction,
         seed=config.seed,
     )
-    tasks = [(mode, group) for mode in modes for group in range(config.groups)]
-    assignment = assign_cells(len(tasks), shards)
-    payloads = [
-        (
-            config,
-            [tasks[i] for i in batch],
-            {
-                group: arrivals_by_group[group]
-                for _mode, group in (tasks[i] for i in batch)
-            },
-        )
-        for batch in assignment
+    tasks = [
+        (mode, config, group, arrivals_by_group[group])
+        for mode in modes
+        for group in range(config.groups)
     ]
-    use_processes = shards > 1 if parallel is None else (parallel and shards > 1)
-    if use_processes:
-        import multiprocessing
-
-        method = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-        context = multiprocessing.get_context(method)
-        with context.Pool(processes=shards) as pool:
-            batches = pool.map(_run_cell_batch, payloads)
-    else:
-        batches = [_run_cell_batch(payload) for payload in payloads]
-
     result = ShardedChaosResult(config=config)
-    for batch in batches:
-        for cell in batch:
-            result.cells[(cell.mode, cell.group)] = cell
+    for cell in run_cells(run_cell, tasks, shards, parallel):
+        result.cells[(cell.mode, cell.group)] = cell
     for mode in modes:
         mode_cells = [result.cells[(mode, g)] for g in range(config.groups)]
-        result.outcomes[mode] = _aggregate_mode(mode, mode_cells)
+        result.outcomes[mode] = aggregate_mode(mode, mode_cells)
         result.records.extend(
             merge_records([cell.records for cell in mode_cells])
         )
@@ -433,54 +224,18 @@ def render_sharded_chaos(result: ShardedChaosResult) -> str:
     """
     config = result.config
     modes = list(result.outcomes)
-    dispatch = (
-        f" dispatch={config.dispatch}"
-        if config.dispatch != "push-least-loaded"
-        else ""
-    )
     lines = [
         f"chaos-sharded: groups={config.groups} hosts/group={config.hosts} "
         f"requests={config.requests} failure_rate={config.failure_rate:g} "
-        f"seed={config.seed}{dispatch}",
+        f"seed={config.seed}{dispatch_suffix(config.dispatch)}",
         "shard-load: "
         + " ".join(
             f"g{group}={result.cells[(modes[0], group)].submitted}"
             for group in range(config.groups)
         ),
         "",
-        f"{'mode':14s} {'done':>5s} {'shed':>5s} {'fail':>5s} {'retry':>6s} "
-        f"{'hedge':>6s} {'degr':>5s} {'opens':>6s} "
-        f"{'p99 us':>10s} {'uLL p50 us':>11s} {'uLL p99 us':>11s}",
     ]
-    for mode in modes:
-        outcome = result.outcomes[mode]
-        lines.append(
-            f"{outcome.mode:14s} {outcome.completed:5d} {outcome.shed:5d} "
-            f"{outcome.failed:5d} {outcome.retries:6d} {outcome.hedges:6d} "
-            f"{sum(outcome.degradations.values()):5d} {outcome.breaker_opens:6d} "
-            f"{outcome.p99_us:10.1f} {outcome.ull_p50_us:11.2f} "
-            f"{outcome.ull_p99_us:11.2f}"
-        )
-    lines.append("")
-    for mode in modes:
-        outcome = result.outcomes[mode]
-        degraded = (
-            ", ".join(f"{k}:{v}" for k, v in outcome.degradations.items())
-            or "none"
-        )
-        fired = ", ".join(f"{k}:{v}" for k, v in sorted(outcome.fired.items()))
-        lines.append(
-            f"{outcome.mode}: crashes={outcome.crashes} "
-            f"recoveries={outcome.recoveries} degradations=[{degraded}] "
-            f"faults=[{fired}]"
-        )
-        if not outcome.ok:
-            lines.append(
-                f"{outcome.mode}: UNSOUND — "
-                f"{outcome.submitted - outcome.resolved} unresolved, "
-                f"{len(outcome.violations)} violations"
-            )
-            lines.extend(f"  {message}" for message in outcome.violations[:10])
+    lines.extend(mode_table([result.outcomes[mode] for mode in modes]))
     lines.append("")
     lines.append(
         f"sharded: events={result.events_executed} windows={result.windows} "
@@ -488,20 +243,3 @@ def render_sharded_chaos(result: ShardedChaosResult) -> str:
     )
     return "\n".join(lines)
 
-
-def trace_jsonl(result: ShardedChaosResult) -> str:
-    """The merged trace as canonical JSONL (one record per line).
-
-    Keys are sorted and separators fixed, so the artifact is
-    byte-identical for byte-identical record streams — the form the
-    cross-process determinism regression diffs.
-    """
-    return "".join(
-        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        for record in result.records
-    )
-
-
-def write_trace_jsonl(result: ShardedChaosResult, path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(trace_jsonl(result))

@@ -61,7 +61,6 @@ STEM_SUBSYSTEMS: Dict[str, str] = {
     "node-crash": "resilience.failures",
     "node-recover": "resilience.failures",
     # the retry ladder
-    "resilience-rewait": "resilience.rewait",
     "resilience-capacity-wake": "resilience.capacity",
     "resilience-retry": "resilience.retry",
     "resilience-crash-retry": "resilience.retry",

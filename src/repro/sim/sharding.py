@@ -5,12 +5,15 @@ This module is the kernel-level half of the sharded execution layer
 (DESIGN.md §12): a cluster run is partitioned into independent *cells*
 (failure domains / host groups), each simulated by its own
 :class:`~repro.sim.engine.Engine`, and the cells are distributed over
-worker processes.  Three primitives live here:
+worker processes.  Four primitives live here:
 
 * :func:`assign_cells` — the deterministic cell→worker partition.  The
   assignment is round-robin over the sorted cell list, so it is a pure
   function of ``(cell count, worker count)`` and never depends on
   scheduling order.
+* :func:`run_cells` — the fork-pool driver every cell-based study runs
+  through: one worker per non-empty partition, results handed back in
+  task order whatever the worker count.
 * :func:`windowed_run` — the conservative-lookahead driver for one
   shard engine.  Cross-shard messages enter a cell only at gateway
   dispatch, whose minimum latency *L* is known; therefore once every
@@ -26,7 +29,8 @@ worker processes.  Three primitives live here:
   merge.  Per-shard streams are combined in ascending ``(time, shard,
   per-shard index)`` order (for pending events: ``(time, priority,
   shard, sequence)``), a total order pinned by tests so the merged view
-  is byte-identical for any worker count.
+  is byte-identical for any worker count; :func:`trace_jsonl` writes a
+  merged stream in its canonical byte form.
 
 Determinism contract: every function here is a pure function of its
 inputs.  Worker count changes *where* a cell simulates, never *what* it
@@ -37,7 +41,8 @@ enforces exactly that.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Sequence, Tuple
+import json
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.engine import Engine
 from repro.sim.event import Event
@@ -58,6 +63,54 @@ def assign_cells(cells: int, shards: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(
         tuple(range(worker, cells, shards)) for worker in range(shards)
     )
+
+
+def _run_tasks(fn: Callable[..., Any], batch: Sequence[tuple]) -> List[Any]:
+    """Worker entry point (module-level: must pickle under spawn)."""
+    return [fn(*task) for task in batch]
+
+
+def run_cells(
+    fn: Callable[..., Any],
+    tasks: Sequence[tuple],
+    shards: int,
+    parallel: Optional[bool] = None,
+) -> List[Any]:
+    """``[fn(*task) for task in tasks]``, spread over *shards* workers.
+
+    Tasks are partitioned with :func:`assign_cells`; each non-empty
+    partition runs, in task order, on its own worker process, and the
+    results come back in task order — so the caller never sees the
+    partition.  ``parallel=False`` runs the same partitions one after
+    another in this process (only the OS processes are skipped); the
+    default uses processes whenever ``shards > 1``.  With one partition
+    there is no pool at all: *fn* is called directly on the caller's
+    tasks, with no pickling.  For processes, *fn* and the tasks must
+    pickle (a module-level function over plain data).
+    """
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    partitions = [cells for cells in assign_cells(len(tasks), shards) if cells]
+    batches = [[tasks[i] for i in cells] for cells in partitions]
+    use_processes = shards > 1 if parallel is None else (parallel and shards > 1)
+    if use_processes and len(batches) > 1:
+        import multiprocessing  # only pooled runs pay for the import
+
+        method = (
+            "fork"
+            if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
+        context = multiprocessing.get_context(method)
+        with context.Pool(processes=len(batches)) as pool:
+            outputs = pool.starmap(_run_tasks, [(fn, b) for b in batches])
+    else:
+        outputs = [_run_tasks(fn, batch) for batch in batches]
+    results: List[Any] = [None] * len(tasks)
+    for cells, output in zip(partitions, outputs):
+        for index, value in zip(cells, output):
+            results[index] = value
+    return results
 
 
 def windowed_run(
@@ -151,3 +204,21 @@ def merged_pending(
             )
     entries.sort(key=lambda entry: entry[:4])
     return [(entry[2], entry[4]) for entry in entries]
+
+
+def trace_jsonl(records: Iterable[dict]) -> str:
+    """A merged record stream as canonical JSONL (one record per line).
+
+    Keys are sorted and separators fixed, so the artifact is
+    byte-identical for byte-identical record streams — the form the
+    cross-process determinism regressions diff.
+    """
+    return "".join(
+        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        for record in records
+    )
+
+
+def write_trace_jsonl(records: Iterable[dict], path: str) -> None:
+    with open(path, "w") as handle:
+        handle.write(trace_jsonl(records))

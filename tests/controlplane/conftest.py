@@ -3,9 +3,7 @@
 import pytest
 
 from repro.controlplane import ControlPlane, GatewayShard
-from repro.experiments.chaos import _build_workloads
-from repro.faas.cluster import FaaSCluster
-from repro.faas.function import FunctionSpec
+from repro.experiments.cell import build_cluster, study_functions
 from repro.resilience import AdmissionConfig, ResilienceConfig
 from repro.sim.engine import Engine
 from repro.sim.units import seconds
@@ -19,16 +17,13 @@ def build_shard(
     resilience=None,
 ):
     """One gateway shard with the chaos-study workloads registered."""
-    cluster = FaaSCluster(
+    cluster = build_cluster(
+        study_functions(),
         hosts=hosts,
         seed=100 + shard_id if seed is None else seed,
+        warm_per_host=2,
         engine=engine,
     )
-    firewall, background = _build_workloads("horse")
-    cluster.register(FunctionSpec("firewall", firewall, memory_mb=128))
-    cluster.register(FunctionSpec("background", background, memory_mb=256))
-    cluster.provision_warm("firewall", per_host=2)
-    cluster.provision_warm("background", per_host=2)
     if resilience is None:
         resilience = ResilienceConfig(
             default_deadline_ns=seconds(30),

@@ -14,11 +14,11 @@ from repro.experiments.cluster_recovery import (
     ClusterRecoveryConfig,
     render_recovery,
     run_recovery,
-    trace_jsonl,
 )
 from repro.experiments.dispatch_zoo import render_dispatch_zoo
 from repro.experiments.registry import ExperimentConfig, get
 from repro.faas.prewarm import PrewarmConfig, render_replay, run_replay
+from repro.sim.sharding import trace_jsonl
 from repro.traces.replay import ReplayConfig
 
 GOLDEN = Path(__file__).parents[1] / "resilience" / "golden"
@@ -50,7 +50,7 @@ def test_dispatch_zoo_fast_render_matches_golden():
 def test_cluster_recovery_fast_render_and_trace_match_golden(shards):
     result = run_recovery(FAST_RECOVERY, shards=shards, parallel=False)
     assert render_recovery(result) + "\n" == _golden("recovery_fast_seed0.txt")
-    assert trace_jsonl(result) == _golden("recovery_fast_seed0.jsonl")
+    assert trace_jsonl(result.records) == _golden("recovery_fast_seed0.jsonl")
 
 
 def test_cluster_recovery_registry_fast_run_is_the_pinned_shape():

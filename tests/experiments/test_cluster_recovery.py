@@ -15,10 +15,9 @@ from repro.experiments.cluster_recovery import (
     recovery_cell_seed,
     render_recovery,
     run_recovery,
-    trace_jsonl,
-    write_trace_jsonl,
 )
 from repro.experiments.registry import all_specs
+from repro.sim.sharding import trace_jsonl, write_trace_jsonl
 
 FAST = ClusterRecoveryConfig(
     groups=2,
@@ -35,7 +34,7 @@ FAST = ClusterRecoveryConfig(
 def _snapshot(config, shards, parallel=None):
     result = run_recovery(config, shards=shards, parallel=parallel)
     return (
-        trace_jsonl(result),
+        trace_jsonl(result.records),
         render_recovery(result),
         result.ok,
         tuple(result.oracle_mismatches),
@@ -115,7 +114,7 @@ class TestTrace:
     def test_trace_is_canonical_jsonl(self, tmp_path):
         result = run_recovery(FAST, shards=1)
         path = tmp_path / "trace.jsonl"
-        write_trace_jsonl(result, str(path))
+        write_trace_jsonl(result.records, str(path))
         lines = path.read_text().splitlines()
         assert len(lines) == len(result.records)
         for line in lines:

@@ -10,18 +10,17 @@ import json
 
 import pytest
 
+from repro.experiments.cell import CellOutcome
+from repro.experiments.chaos import aggregate_mode
 from repro.experiments.sharded_chaos import (
-    CellOutcome,
     ShardedChaosConfig,
-    _aggregate_mode,
     cell_seed,
     run_cell,
     run_sharded_chaos,
     render_sharded_chaos,
-    trace_jsonl,
-    write_trace_jsonl,
 )
 from repro.faas.frontend import DISPATCH_LATENCY_NS, plan_arrivals
+from repro.sim.sharding import trace_jsonl, write_trace_jsonl
 
 
 FAST = ShardedChaosConfig(groups=3, hosts=2, requests=60, drain_s=10.0, seed=5)
@@ -135,7 +134,7 @@ class TestAggregation:
                 crashes=1, recoveries=1,
             ),
         ]
-        outcome = _aggregate_mode("breaker", cells)
+        outcome = aggregate_mode("breaker", cells)
         assert outcome.submitted == 5
         assert outcome.completed == 4
         assert outcome.crashes == 3
@@ -151,7 +150,7 @@ class TestAggregation:
             CellOutcome(mode="vanilla", group=0, violations=["g0: lost"]),
             CellOutcome(mode="vanilla", group=1, violations=[]),
         ]
-        outcome = _aggregate_mode("vanilla", cells)
+        outcome = aggregate_mode("vanilla", cells)
         assert outcome.violations == ["g0: lost"]
         assert not outcome.ok
 
@@ -169,7 +168,7 @@ class TestRunAndRender:
         first = run_sharded_chaos(FAST, shards=1)
         second = run_sharded_chaos(FAST, shards=1)
         assert render_sharded_chaos(first) == render_sharded_chaos(second)
-        assert trace_jsonl(first) == trace_jsonl(second)
+        assert trace_jsonl(first.records) == trace_jsonl(second.records)
 
     def test_render_never_mentions_the_worker_count(self):
         """The rendered output is part of the byte-identity contract:
@@ -182,7 +181,7 @@ class TestRunAndRender:
 
     def test_trace_jsonl_is_canonical_and_mode_major(self, tmp_path):
         result = run_sharded_chaos(FAST, shards=1)
-        text = trace_jsonl(result)
+        text = trace_jsonl(result.records)
         lines = text.splitlines()
         assert len(lines) == len(result.records)
         parsed = [json.loads(line) for line in lines]
@@ -192,7 +191,7 @@ class TestRunAndRender:
                 record, sort_keys=True, separators=(",", ":")
             )
         path = tmp_path / "trace.jsonl"
-        write_trace_jsonl(result, str(path))
+        write_trace_jsonl(result.records, str(path))
         assert path.read_text() == text
 
     def test_merged_records_ascend_within_each_mode(self):

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.experiments.sharded_chaos import (
     ShardedChaosConfig,
     run_sharded_chaos,
-    trace_jsonl,
     render_sharded_chaos,
 )
 from repro.sim.engine import Engine
@@ -31,10 +30,19 @@ from repro.sim.sharding import (
     assign_cells,
     merge_records,
     merged_pending,
+    run_cells,
+    trace_jsonl,
     windowed_run,
 )
 
+import os
+
 import pytest
+
+
+def _square_on(value):
+    """A picklable cell: its result and the process that computed it."""
+    return value * value, os.getpid()
 
 
 def _snapshot(config, shards, parallel=None):
@@ -47,7 +55,7 @@ def _snapshot(config, shards, parallel=None):
         for mode, outcome in result.outcomes.items()
     )
     return (
-        trace_jsonl(result),
+        trace_jsonl(result.records),
         render_sharded_chaos(result),
         result.ok,
         verdicts,
@@ -138,6 +146,41 @@ class TestAssignCells:
             assign_cells(-1, 2)
         with pytest.raises(ValueError, match="shard count"):
             assign_cells(4, 0)
+
+
+class TestRunCells:
+    TASKS = [(value,) for value in range(7)]
+
+    @pytest.mark.parametrize("parallel", [True, False])
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
+    def test_results_come_back_in_task_order(self, shards, parallel):
+        results = run_cells(_square_on, self.TASKS, shards, parallel)
+        assert [value for value, _pid in results] == [
+            value * value for value in range(7)
+        ]
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_parallel_runs_on_worker_processes(self, shards):
+        pids = {pid for _v, pid in run_cells(_square_on, self.TASKS, shards)}
+        assert os.getpid() not in pids
+
+    def test_one_shard_calls_the_cell_directly(self):
+        # A closure cannot pickle: the single-partition path must never
+        # try, and must hand the caller's own task objects to the cell.
+        task = ([],)
+        results = run_cells(lambda box: box, [task], 1, parallel=True)
+        assert results[0] is task[0]
+
+    def test_more_shards_than_tasks(self):
+        results = run_cells(_square_on, [(3,), (5,)], 4)
+        assert [value for value, _pid in results] == [9, 25]
+
+    def test_zero_tasks(self):
+        assert run_cells(_square_on, [], 3) == []
+
+    def test_shards_below_one_rejected(self):
+        with pytest.raises(ValueError, match="shards must be >= 1"):
+            run_cells(_square_on, self.TASKS, 0)
 
 
 class TestMergeRecords:
