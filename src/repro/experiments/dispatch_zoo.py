@@ -230,7 +230,7 @@ def run_zoo_cell(
     stack.injector.schedule_crashes(until_ns=last)
     cluster.engine.run(until=last + seconds(config.drain_s))
 
-    totals = read_cell(stack, policy)
+    totals = read_cell(stack, "breaker")
     cell = ZooCell(
         policy=policy,
         failure_rate=failure_rate,

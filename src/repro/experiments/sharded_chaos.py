@@ -154,7 +154,9 @@ def run_cell(
     )
 
     outcome = read_cell(cell, mode, group)
-    outcome.violations = [f"g{group}: {message}" for message in outcome.violations]
+    outcome.violations = [
+        f"g{group}: {message}" for message in outcome.violations
+    ]
     outcome.windows = windows
     outcome.records = records
     return outcome

@@ -702,7 +702,9 @@ class ResilientGateway:
             retry_delay_ns = self.config.retry.backoff_ns(
                 max(1, request.primary_count), self._rng
             )
-        label = "resilience-crash-retry" if kind == "crash" else "resilience-retry"
+        label = (
+            "resilience-crash-retry" if kind == "crash" else "resilience-retry"
+        )
         self.engine.schedule_at(
             now + retry_delay_ns,
             lambda: self._launch(request, hedge=False),
