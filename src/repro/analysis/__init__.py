@@ -12,15 +12,6 @@ from repro.analysis.figures import (
     render_figure3,
     render_figure4,
 )
-from repro.analysis.export import (
-    colocation_to_json,
-    figure2_to_json,
-    figure3_to_json,
-    figure4_to_json,
-    table1_to_json,
-    write_csv,
-    write_json,
-)
 from repro.analysis.report import ReportConfig, generate_report
 from repro.analysis.tables import render_table, render_table1
 from repro.analysis.validation import (
@@ -45,13 +36,6 @@ __all__ = [
     "generate_report",
     "render_table",
     "render_table1",
-    "colocation_to_json",
-    "figure2_to_json",
-    "figure3_to_json",
-    "figure4_to_json",
-    "table1_to_json",
-    "write_csv",
-    "write_json",
     "ClaimCheck",
     "failed_checks",
     "summarize",

@@ -29,6 +29,7 @@ event structure (identical results either way; see DESIGN.md §10).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Dict, Optional, Sequence
 
@@ -67,6 +68,22 @@ def _run_experiment(name: str, fast: bool, seed: int, platform: str) -> str:
     )
 
 
+def _trace_out_error(path: str) -> Optional[str]:
+    """Why the trace cannot be written to *path*, or None.
+
+    Checked before a run, so a bad path fails in milliseconds instead of
+    after the whole study, and no partial file is left behind.
+    """
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        return f"--trace-out: directory {parent} does not exist"
+    if os.path.isdir(path):
+        return f"--trace-out: {path} is a directory"
+    if not os.access(parent, os.W_OK):
+        return f"--trace-out: directory {parent} is not writable"
+    return None
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     report = generate_report(ReportConfig(seed=args.seed, fast=args.fast))
     if args.out:
@@ -86,16 +103,19 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    _apply_scheduler(args)
-    spec = get_experiment(args.name)
-    result = spec.run(
-        ExperimentConfig(
+    try:
+        config = ExperimentConfig(
             fast=args.fast,
             seed=args.seed,
             platform=args.platform,
             shards=args.shards,
         )
-    )
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    _apply_scheduler(args)
+    spec = get_experiment(args.name)
+    result = spec.run(config)
     if args.json:
         print(result.to_json())
         return 0
@@ -233,6 +253,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             f"choose from {', '.join(CHAOSABLE)}",
             file=sys.stderr,
         )
+        return 2
+    trace_error = args.trace_out and _trace_out_error(args.trace_out)
+    if trace_error:
+        print(trace_error, file=sys.stderr)
         return 2
     _apply_scheduler(args)
     from repro.resilience.policies import default_dispatch_policy

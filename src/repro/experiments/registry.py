@@ -52,6 +52,10 @@ class ExperimentConfig:
     #: ignore it.
     shards: int = 1
 
+    def __post_init__(self) -> None:
+        if self.shards < 1:
+            raise ValueError(f"shards must be >= 1, got {self.shards}")
+
     @property
     def repetitions(self) -> int:
         return 3 if self.fast else 10

@@ -19,11 +19,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional
+from typing import TYPE_CHECKING, Deque, Dict, Optional
 
-from repro.faas.platform import FaaSPlatform
 from repro.sim.event import Event, EventPriority
 from repro.sim.units import SECOND, seconds
+
+if TYPE_CHECKING:
+    from repro.faas.platform import FaaSPlatform
 
 
 @dataclass(frozen=True)

@@ -348,10 +348,6 @@ class FaaSCluster:
                     f"cluster.degrade.{degraded}",
                     "warm-path miss degraded to cold",
                 ).inc()
-            host.trace.record(
-                self.engine.now, "cluster", "degrade",
-                function=function_name, host=index, transition=degraded,
-            )
         self.in_flight[index] += 1
         try:
             invocation = host.trigger(function_name, effective, **kwargs)

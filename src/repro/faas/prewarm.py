@@ -165,7 +165,11 @@ class PolicyDecision:
 
 
 class PrewarmPolicy:
-    """Per-function lifecycle decisions.  Subclasses own all state."""
+    """Per-function lifecycle decisions.  Subclasses own all state.
+
+    *fn* is any hashable function key: replay cells pass the function's
+    index, :class:`~repro.faas.pool.SandboxPool` its name.
+    """
 
     name = "abstract"
 

@@ -1,8 +1,8 @@
 """End-to-end observability for the reproduction.
 
-The ``repro.obs`` subsystem answers the question the flat
-:class:`~repro.sim.tracing.TraceLog` cannot: *where do the nanoseconds
-go?*  It provides
+The ``repro.obs`` subsystem is the repo's one tracing path.  It answers
+*where do the nanoseconds go?* and records an instant at each node
+crash, recovery and pool eviction.  It provides
 
 * nested timed :class:`Span`/:class:`Tracer` keyed to the sim clock
   (:mod:`repro.obs.span`), instrumenting the full resume hot path;

@@ -227,10 +227,6 @@ class FailureInjector:
                 "node.crash", now, category="resilience",
                 host=index, pooled_lost=lost,
             )
-        host.trace.record(
-            now, "failures", "crash",
-            host=index, pooled_lost=lost, domain=self.domain,
-        )
         for listener in self.on_crash:
             listener(index, now)
 
@@ -244,9 +240,6 @@ class FailureInjector:
             host.obs.tracer.record_instant(
                 "node.recover", now, category="resilience", host=index,
             )
-        host.trace.record(
-            now, "failures", "recover", host=index, domain=self.domain
-        )
         for listener in self.on_recover:
             listener(index, now)
 

@@ -3,8 +3,8 @@
 Callers schedule callbacks at future simulated instants;
 :meth:`Engine.run` pops events in time order, advances the clock, and
 invokes them.  All higher layers (hypervisor, FaaS platform,
-experiments) are built on this single primitive plus the
-generator-based processes in :mod:`repro.sim.process`.
+experiments) are built on this single primitive: every subsystem
+schedules callbacks.
 
 The pending-event set is pluggable (``Engine(scheduler="heap")`` or
 ``"calendar"`` — see :mod:`repro.sim.schedulers`): a binary heap, or a
@@ -18,11 +18,11 @@ cross-scheduler identity is CI-enforced, so the heap survives as the
 reference implementation the calendar is diffed against.
 
 Hot-path design (see DESIGN.md §10): events are ``__slots__`` objects;
-events whose handles the call site discards (process sleeps, wake-ups)
-are marked *transient* and recycled through a free-list instead of
-being reallocated; and :meth:`Engine.run` keeps a no-watcher dispatch
-branch whose per-event work is one scheduler pop, one clock store, and
-the callback itself.
+events whose handles the call site discards (per-attempt completions,
+arrival hops) are marked *transient* and recycled through a free-list
+instead of being reallocated; and :meth:`Engine.run` keeps a
+no-watcher dispatch branch whose per-event work is one scheduler pop,
+one clock store, and the callback itself.
 
 Determinism contract: given the same schedule calls in the same order
 and the same seeded RNG streams, a run is bit-for-bit reproducible —
@@ -189,14 +189,12 @@ class Engine:
         priority: int = 20,
         label: str = "",
     ) -> None:
-        """Lean transient scheduling for the process-layer hot path.
+        """Lean transient scheduling for fire-and-forget callbacks.
 
         Equivalent to ``schedule_after(..., transient=True)`` with the
         handle discarded, minus the per-call overhead that path pays:
         no Event returned, no enum coercion (*priority* must already be
-        a plain int), one combined bounds check.  Every simulated
-        sleep, wake-up, and spawn/join hop funnels through here, which
-        is why it exists.
+        a plain int), one combined bounds check.
         """
         if delay < 0 or self._stopped:
             if self._stopped:

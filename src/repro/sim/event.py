@@ -47,7 +47,7 @@ class Event:
     """A scheduled callback; ordered by (time, priority, sequence).
 
     ``transient`` marks events whose handle the scheduling call site
-    discards (process sleeps, waitable wake-ups, spawn/join hops): the
+    discards (per-attempt completions, arrival hops): the
     engine is free to recycle those objects through its free-list after
     they fire, because no live reference can observe the reuse.  Events
     scheduled the ordinary way are never recycled, so holding the return

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.pool_study import run_pool_study
-from repro.faas.keepalive import FixedKeepAlive
+from repro.faas.prewarm import FixedWindow
 from repro.sim.units import seconds
 
 
@@ -60,7 +60,7 @@ class TestHitRates:
 class TestCustomPolicies:
     def test_custom_policy_set(self):
         result = run_pool_study(
-            policies={"only": FixedKeepAlive(seconds(60))},
+            policies={"only": FixedWindow(seconds(60))},
             functions=3,
             duration_s=30.0,
             seed=1,

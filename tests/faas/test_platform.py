@@ -7,7 +7,7 @@ from repro.faas.invocation import StartType
 from repro.faas.platform import FaaSPlatform
 from repro.faas.startup import PoolMissError
 from repro.hypervisor.sandbox import SandboxState
-from repro.sim.units import seconds
+from repro.sim.units import microseconds, seconds
 from repro.workloads import ArrayFilterWorkload, FirewallWorkload, NatWorkload
 
 
@@ -135,3 +135,90 @@ class TestTriggerLifecycle:
         faas.engine.run(until=seconds(700))  # beyond default keep-alive
         assert faas.pool.size("fw") == 0
         assert faas.virt.host.memory_used_mb == used - 256
+
+    def test_default_keep_alive_is_10_minutes(self):
+        faas = platform_with(FunctionSpec("fw", FirewallWorkload()))
+        invocation = faas.trigger("fw", StartType.COLD)
+        faas.engine.run(until=invocation.exec_end_ns)
+        assert faas.pool.size("fw") == 1
+        faas.engine.run(until=invocation.exec_end_ns + seconds(600) - 1)
+        assert faas.pool.size("fw") == 1
+        faas.engine.run(until=invocation.exec_end_ns + seconds(600))
+        assert faas.pool.size("fw") == 0
+
+
+def closed_loop_client(faas, requests, think_ns, on_done):
+    """A closed-loop client built from engine callbacks: trigger, wait
+    for the completion instant, think, repeat.  Calls
+    ``on_done(invocation, client_ns)`` as each request completes."""
+
+    def issue(remaining):
+        start = faas.engine.now
+        invocation = faas.trigger("fw", StartType.HORSE)
+
+        def completed():
+            on_done(invocation, faas.engine.now - start)
+            if remaining > 1:
+                faas.engine.schedule_after(think_ns, lambda: issue(remaining - 1))
+
+        faas.engine.schedule_at(invocation.exec_end_ns, completed)
+
+    return issue
+
+
+class TestProvisionedSandboxReuse:
+    """Callback-driven clients and the pool counters on one provisioned
+    sandbox."""
+
+    def make_platform(self):
+        faas = FaaSPlatform.build("firecracker", seed=23)
+        faas.register(FunctionSpec("fw", FirewallWorkload()))
+        faas.provision_warm("fw", count=1)
+        return faas
+
+    def test_sequential_client_reuses_one_sandbox(self):
+        faas = self.make_platform()
+        done = []
+        issue = closed_loop_client(
+            faas, 5, microseconds(100), lambda inv, _: done.append(inv)
+        )
+        faas.engine.schedule_at(0, lambda: issue(5))
+        faas.engine.run(until=seconds(1))
+        assert len(done) == 5 and all(inv.completed for inv in done)
+        assert faas.pool.misses == 0 and faas.pool.hits == 5
+
+    def test_two_clients_share_one_warm_sandbox(self):
+        faas = self.make_platform()
+        completions = []
+
+        def client(tag):
+            return closed_loop_client(
+                faas, 3, microseconds(500), lambda inv, _: completions.append(tag)
+            )
+
+        faas.engine.schedule_at(0, lambda: client("a")(3))
+        # Stagger the second client so triggers never collide.
+        faas.engine.schedule_at(microseconds(250), lambda: client("b")(3))
+        faas.engine.run(until=seconds(1))
+        assert sorted(completions) == ["a", "a", "a", "b", "b", "b"]
+        assert faas.pool.misses == 0
+
+    def test_client_observed_latency_is_total_ns(self):
+        faas = self.make_platform()
+        observed = []
+        issue = closed_loop_client(
+            faas, 1, 0, lambda inv, client_ns: observed.append((inv, client_ns))
+        )
+        faas.engine.schedule_at(microseconds(3), lambda: issue(1))
+        faas.engine.run(until=seconds(1))
+        [(invocation, client_ns)] = observed
+        assert client_ns == invocation.total_ns
+
+    def test_pool_releases_acquires_then_releases(self):
+        faas = self.make_platform()
+        pool = faas.pool
+        assert (pool.size("fw"), pool.hits, pool.misses) == (1, 0, 0)
+        faas.trigger("fw", StartType.HORSE)
+        assert (pool.size("fw"), pool.hits, pool.misses) == (0, 1, 0)
+        faas.engine.run(until=seconds(1))
+        assert (pool.size("fw"), pool.hits, pool.misses) == (1, 1, 0)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.faas.keepalive import FixedKeepAlive
 from repro.faas.pool import SandboxPool
+from repro.faas.prewarm import FixedWindow, HybridHistogram
 from repro.hypervisor.platform import firecracker_platform
 from repro.hypervisor.sandbox import Sandbox, SandboxState
 from repro.sim.engine import Engine
@@ -21,7 +21,7 @@ def paused_box(virt, vcpus=1):
 def setup():
     engine = Engine()
     virt = firecracker_platform()
-    pool = SandboxPool(engine, FixedKeepAlive(seconds(10)))
+    pool = SandboxPool(engine, FixedWindow(seconds(10)))
     return engine, virt, pool
 
 
@@ -126,3 +126,72 @@ class TestKeepAliveEviction:
         assert pool.size("fw") == 1
         engine.run(until=seconds(16))
         assert pool.size("fw") == 0
+
+
+def kept_for(engine, pool, virt, function_name):
+    """Release one sandbox at the engine's current instant and return
+    how long the pool keeps it idle before evicting it."""
+    released_at = engine.now
+    evicted_at = []
+    pool._on_evict = lambda name, sb: evicted_at.append(engine.now)
+    pool.release(function_name, paused_box(virt))
+    engine.run()
+    assert len(evicted_at) == 1
+    return evicted_at[0] - released_at
+
+
+class TestKeepAlivePolicies:
+    """The pool keeps an idle sandbox for its policy decision's
+    ``prewarm + keep_alive``."""
+
+    def test_fixed_window_is_the_same_for_every_function(self, setup):
+        engine, virt, pool = setup
+        assert kept_for(engine, pool, virt, "a") == seconds(10)
+        assert kept_for(engine, pool, virt, "b") == seconds(10)
+
+    def test_observed_gaps_leave_a_fixed_window_unchanged(self, setup):
+        engine, virt, pool = setup
+        pool._keepalive.observe_gap("fw", seconds(99999))
+        assert kept_for(engine, pool, virt, "fw") == seconds(10)
+
+    def test_hybrid_falls_back_before_enough_observations(self):
+        engine, virt = Engine(), firecracker_platform()
+        policy = HybridHistogram(min_observations=4, default_keep_ns=seconds(30))
+        pool = SandboxPool(engine, policy)
+        policy.observe_gap("fw", seconds(1))
+        assert kept_for(engine, pool, virt, "fw") == seconds(30)
+
+    def test_hybrid_adapts_to_observed_gaps(self):
+        engine, virt = Engine(), firecracker_platform()
+        policy = HybridHistogram(
+            bin_width_ns=seconds(5), min_observations=4,
+            default_keep_ns=seconds(600),
+        )
+        pool = SandboxPool(engine, policy)
+        for _ in range(8):
+            policy.observe_gap("fw", seconds(7))
+        # Gaps in bin 1: an adaptive window, no longer the fallback.
+        assert kept_for(engine, pool, virt, "fw") < seconds(600)
+
+    def test_hybrid_prewarm_window_folds_into_keep_alive(self):
+        engine, virt = Engine(), firecracker_platform()
+        policy = HybridHistogram(bin_width_ns=seconds(5), min_observations=4)
+        pool = SandboxPool(engine, policy)
+        for _ in range(8):
+            policy.observe_gap("fw", seconds(42))
+        decision = policy.decision("fw")
+        assert decision.prewarm_ns is not None
+        assert kept_for(engine, pool, virt, "fw") == (
+            decision.prewarm_ns + decision.keep_alive_ns
+        )
+
+    def test_hybrid_windows_are_per_function(self):
+        engine, virt = Engine(), firecracker_platform()
+        policy = HybridHistogram(bin_width_ns=seconds(5), min_observations=2)
+        pool = SandboxPool(engine, policy)
+        for _ in range(4):
+            policy.observe_gap("short", seconds(2))
+            policy.observe_gap("long", seconds(200))
+        assert kept_for(engine, pool, virt, "short") < kept_for(
+            engine, pool, virt, "long"
+        )

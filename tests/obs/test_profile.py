@@ -5,10 +5,12 @@ process-global counters, so only two fresh processes with the same seed
 can be compared byte-for-byte (same pattern as the chaos CLI test).
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 from repro.obs.profile import (
     STEM_SUBSYSTEMS,
@@ -57,6 +59,26 @@ class TestClassification:
             STEM_SUBSYSTEMS["resilience-capacity-wake"]
             == "resilience.capacity"
         )
+
+    def test_every_named_stem_has_an_emitter(self):
+        # A stem no label in src/ starts with is a dead table entry.
+        stems = set()
+        for path in Path(SRC).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.keyword) and node.arg == "label":
+                    value = node.value
+                elif isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "label"
+                    for target in node.targets
+                ):
+                    value = node.value
+                else:
+                    continue
+                for part in ast.walk(value):
+                    if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                        stems.add(part.value.split(":", 1)[0])
+        named = {stem for stem in STEM_SUBSYSTEMS if stem}
+        assert named - stems == set()
 
     def test_phase_separates_attribution(self):
         profiler = SubsystemProfiler()

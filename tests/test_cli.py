@@ -87,3 +87,29 @@ class TestCommands:
         text = out_file.read_text()
         assert "# HORSE reproduction" in text
         assert "Figure 3" in text
+
+
+class TestBadInputsFailBeforeTheRun:
+    @pytest.mark.parametrize(
+        "name", ["cluster_sharded", "cluster_recovery", "prewarm_frontier", "figure3"]
+    )
+    def test_zero_shards_exits_two(self, capsys, name):
+        assert main(["experiment", name, "--fast", "--shards", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "shards must be >= 1, got 0" in captured.err
+
+    @pytest.mark.parametrize("flags", [["--shards", "1"], ["--gateways", "3"]])
+    @pytest.mark.parametrize(
+        "target, message",
+        [("missing/x.jsonl", "does not exist"), ("", "is a directory")],
+    )
+    def test_bad_trace_out_exits_two_without_running(
+        self, tmp_path, capsys, flags, target, message
+    ):
+        argv = ["chaos", "cluster", *flags, "--trace-out", str(tmp_path / target)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert list(tmp_path.iterdir()) == []
