@@ -76,12 +76,6 @@ class SortedLinkedList(Generic[T]):
             yield node.value
             node = node.next
 
-    def nodes(self) -> Iterator[ListNode[T]]:
-        node = self.head.next
-        while node is not None:
-            yield node
-            node = node.next
-
     def first(self) -> Optional[T]:
         return self.head.next.value if self.head.next is not None else None
 

@@ -26,8 +26,8 @@ nanoseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generic, List, Optional, TypeVar
+from dataclasses import dataclass
+from typing import Any, Dict, Generic, List, Optional, Tuple, TypeVar
 
 from repro.core.linked_list import ListNode, SortedLinkedList
 
@@ -87,6 +87,29 @@ class PrecomputeReport:
         )
 
 
+#: ``(arrayB, keys)`` from one walk of a target list: see target_snapshot.
+Snapshot = Tuple[List[ListNode[Any]], List[Any]]
+
+
+def target_snapshot(target: SortedLinkedList[T]) -> Snapshot:
+    """Walk *target* once: its arrayB (index 0 the sentinel head, then
+    every element node in order) and the sort key of each element node.
+
+    ``UllRunqueueManager.on_queue_updated`` takes one snapshot per queue
+    update and hands it to every tied sandbox's :meth:`P2SMState.refresh`,
+    so k tied sandboxes cost one walk and |B| key calls, not k of each.
+    """
+    key = target.key
+    array_b: List[ListNode[T]] = [target.head]
+    b_keys: List[Any] = []
+    node = target.head.next
+    while node is not None:
+        array_b.append(node)
+        b_keys.append(key(node.value))
+        node = node.next
+    return array_b, b_keys
+
+
 class P2SMState(Generic[T]):
     """Precomputed state tying one sorted list *A* to a target *B*.
 
@@ -94,9 +117,13 @@ class P2SMState(Generic[T]):
     ull_runqueue) pair and refreshes it whenever either side changes
     (the paper: "the updates are performed each time ull_runqueue is
     updated").  ``refresh`` is a full rebuild — O(|A| + |B|) — which is
-    faithful to the paper's worst-case analysis; incremental updates for
-    single-element changes are provided as an optimization and produce
-    identical state (property-tested).
+    faithful to the paper's worst-case analysis.  ``add_to_a`` and
+    ``remove_from_a`` keep A sorted and then rebuild in full too.
+
+    A refresh allocates no chain nodes: one :class:`ListNode` per A
+    value is built the first time it is needed and relinked into the
+    posA chains on every refresh, until a merge hands the nodes to B or
+    A changes.
     """
 
     def __init__(self, values_a: List[T], target: SortedLinkedList[T]) -> None:
@@ -106,53 +133,74 @@ class P2SMState(Generic[T]):
         self.array_b: List[ListNode[T]] = []
         self.pos_a: Dict[int, SubChain[T]] = {}
         self.last_report = PrecomputeReport()
+        #: chain node per ``values_a`` entry, same order; None = not built
+        self._chain_nodes: Optional[List[ListNode[T]]] = None
         self.refresh()
 
     # ------------------------------------------------------------------
     # Pre-computation phase
     # ------------------------------------------------------------------
-    def refresh(self) -> PrecomputeReport:
-        """Rebuild arrayB and posA against the target's current state."""
-        report = PrecomputeReport()
-        # arrayB: position -> node, with index 0 the sentinel.
-        self.array_b = [self._target.head]
-        for node in self._target.nodes():
-            self.array_b.append(node)
-        report.array_entries = len(self.array_b)
+    def refresh(self, snapshot: Optional[Snapshot] = None) -> PrecomputeReport:
+        """Rebuild arrayB and posA against the target's current state.
+
+        *snapshot* is the target's :func:`target_snapshot`, taken once
+        per queue update and shared by every sandbox tied to the queue;
+        without one the target is walked here.  arrayB is always this
+        state's own list, so corrupting it leaves the siblings intact.
+        """
+        if snapshot is None:
+            array_b, b_keys = target_snapshot(self._target)
+        else:
+            array_b, b_keys = snapshot
+            array_b = array_b[:]
+        self.array_b = array_b
 
         # posA: bucket the (sorted) A values by their insertion position
-        # relative to B.  One forward scan over both sorted sequences.
-        self.pos_a = {}
-        b_keys = [self._key(node.value) for node in self._target.nodes()]
-        position = 0
-        for value in self.values_a:
-            value_key = self._key(value)
-            while position < len(b_keys) and b_keys[position] <= value_key:
+        # relative to B.  One forward scan over both sequences; the
+        # position only grows, so each bucket is one contiguous run of A
+        # (closed when the position moves on) and the scan steps add up
+        # to the final position.
+        nodes = self._chain_nodes
+        if nodes is None:
+            nodes = self._chain_nodes = [ListNode(value) for value in self.values_a]
+        key = self._key
+        b_len = len(b_keys)
+        pos_a: Dict[int, SubChain[T]] = {}
+        position = start = 0
+        chain_position = -1  # no chain open yet
+        head: Optional[ListNode[T]] = None
+        tail: Optional[ListNode[T]] = None
+        for index, node in enumerate(nodes):
+            value_key = key(node.value)
+            while position < b_len and b_keys[position] <= value_key:
                 position += 1
-                report.scan_steps += 1
-            self._append_to_chain(position, value)
-            report.chain_nodes += 1
-        report.posa_keys = len(self.pos_a)
-        self.last_report = report
+            if position == chain_position:
+                tail.next = node
+            else:
+                if head is not None:
+                    tail.next = None
+                    pos_a[chain_position] = SubChain(head, tail, index - start)
+                head, start, chain_position = node, index, position
+            tail = node
+        if head is not None:
+            tail.next = None
+            pos_a[chain_position] = SubChain(head, tail, len(nodes) - start)
+        self.pos_a = pos_a
+        report = self.last_report = PrecomputeReport(
+            array_entries=len(array_b),
+            posa_keys=len(pos_a),
+            scan_steps=position,
+            chain_nodes=len(nodes),
+        )
         return report
 
-    def _append_to_chain(self, position: int, value: T) -> None:
-        node = ListNode(value)
-        chain = self.pos_a.get(position)
-        if chain is None:
-            self.pos_a[position] = SubChain(head=node, tail=node, length=1)
-        else:
-            chain.tail.next = node
-            chain.tail = node
-            chain.length += 1
-
     # ------------------------------------------------------------------
-    # Incremental maintenance (paper §4.1.1 complexity analysis)
+    # A-side updates (paper §4.1.1 complexity analysis)
     # ------------------------------------------------------------------
     def add_to_a(self, value: T) -> None:
-        """Add one element to A: O(n) position scan + O(1) chain insert."""
+        """Add one element to A: binary insertion into the sorted A,
+        then a full refresh (O(|A| + |B|))."""
         value_key = self._key(value)
-        # Keep values_a sorted (binary insertion over the cached list).
         lo, hi = 0, len(self.values_a)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -161,24 +209,19 @@ class P2SMState(Generic[T]):
             else:
                 hi = mid
         self.values_a.insert(lo, value)
-        # Chains must stay sorted within a bucket, so a full bucket
-        # rebuild of the affected position keeps the invariant simple
-        # and matches the paper's O(n) insert bound.
-        self._rebuild_buckets()
+        self._chain_nodes = None
+        self.refresh()
 
     def remove_from_a(self, value: T) -> bool:
-        """Remove one element from A: O(m) over A's elements."""
+        """Remove one element from A (O(|A|) search), then a full
+        refresh.  Returns False when *value* is not in A."""
         for index, existing in enumerate(self.values_a):
             if existing is value or existing == value:
                 del self.values_a[index]
-                self._rebuild_buckets()
+                self._chain_nodes = None
+                self.refresh()
                 return True
         return False
-
-    def _rebuild_buckets(self) -> None:
-        """Recompute posA after an A-side update (arrayB is re-derived
-        from the unchanged target, so it comes out identical)."""
-        self.refresh()
 
     # ------------------------------------------------------------------
     # Freshness verification (repro.check)
@@ -195,7 +238,7 @@ class P2SMState(Generic[T]):
         merging through it splices chains after unlinked or wrong nodes.
         """
         errors: List[str] = []
-        expected_nodes = [self._target.head] + list(self._target.nodes())
+        expected_nodes, b_keys = target_snapshot(self._target)
         if len(self.array_b) != len(expected_nodes):
             errors.append(
                 f"arrayB has {len(self.array_b)} entries, target has "
@@ -212,7 +255,6 @@ class P2SMState(Generic[T]):
                     )
                     break
         # Recompute the bucket each A value belongs to and diff posA.
-        b_keys = [self._key(node.value) for node in self._target.nodes()]
         expected_buckets: Dict[int, List[T]] = {}
         position = 0
         for value in self.values_a:
@@ -257,6 +299,7 @@ class P2SMState(Generic[T]):
             report.merged_elements += chain.length
         self.pos_a = {}
         self.values_a = []
+        self._chain_nodes = None  # the nodes now live in B
         return report
 
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.p2sm import P2SMState
+from repro.core.p2sm import P2SMState, target_snapshot
 from repro.hypervisor.cpu import Host
 from repro.hypervisor.runqueue import RunQueue
 from repro.hypervisor.sandbox import Sandbox
@@ -115,15 +115,22 @@ class UllRunqueueManager:
         """Refresh the P2SM state of every sandbox tied to this queue.
 
         Called after any structural change to a reserved queue (a task
-        enqueued or finished).  Returns the number of structure entries
+        enqueued or finished).  The queue is walked once per update: the
+        first tied sandbox with a state triggers one
+        :func:`~repro.core.p2sm.target_snapshot` (arrayB plus B's keys),
+        and every tied state rebuilds its posA from that snapshot into
+        its own copy of arrayB.  Returns the number of structure entries
         rebuilt, which the overhead experiment converts to CPU time.
         """
         entries = 0
-        for sandbox in self._assignments.get(runqueue_id, []):
+        snapshot = None
+        for sandbox in self._assignments.get(runqueue_id, ()):
             state: Optional[P2SMState] = sandbox.p2sm_state
             if state is None:
                 continue
-            report = state.refresh()
+            if snapshot is None:
+                snapshot = target_snapshot(self._queues[runqueue_id].entities)
+            report = state.refresh(snapshot)
             entries += report.array_entries + report.chain_nodes
             self.refresh_operations += 1
         self.refresh_entries_touched += entries

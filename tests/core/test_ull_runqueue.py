@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.check.faults import FaultInjector, FaultPlan
+from repro.core.hot_resume import HorsePauseResume
 from repro.core.p2sm import P2SMState
 from repro.core.ull_runqueue import UllAssignmentError, UllRunqueueManager
 from repro.hypervisor.cpu import Host, HostSpec
+from repro.hypervisor.platform import firecracker_platform
 from repro.hypervisor.sandbox import Sandbox
+from repro.hypervisor.vcpu import Vcpu
 from repro.sim.units import microseconds, milliseconds
 
 
@@ -127,3 +131,36 @@ class TestPrecomputeFreshness:
         assert manager.total_precompute_bytes() == 0
         sandbox.p2sm_state = P2SMState(list(sandbox.vcpus), queue.entities)
         assert manager.total_precompute_bytes() > 0
+
+
+class TestFaultIsolation:
+    """Tied sandboxes refresh from one shared queue snapshot; a fault in
+    one sandbox's precomputed state must not reach its siblings."""
+
+    @pytest.mark.parametrize("kind", ["stale_arrayb", "stale_posa"])
+    def test_fault_stays_in_the_corrupted_sandbox(self, kind):
+        virt = firecracker_platform()
+        host = make_host(reserved=1)
+        manager = UllRunqueueManager(host)
+        horse = HorsePauseResume(host, virt.policy, virt.costs, ull_manager=manager)
+        queue = manager.queue(manager.queue_ids[0])
+        corrupted, sibling = (Sandbox(vcpus=2, memory_mb=128) for _ in range(2))
+        for sandbox in (corrupted, sibling):
+            manager.assign(sandbox)
+            sandbox.p2sm_state = P2SMState(list(sandbox.vcpus), queue.entities)
+        for vruntime in (10.0, 20.0, 30.0):
+            queue.entities.insert_sorted(
+                Vcpu(index=0, sandbox_id="queued", vruntime=vruntime)
+            )
+        manager.on_queue_updated(queue.runqueue_id)
+        assert manager.check_freshness() == []
+
+        injector = FaultInjector(FaultPlan.single(kind, cycle=0))
+        fired = injector.inject_before_resume(horse, corrupted, queue)
+        assert [fault.kind for fault in fired] == [kind]
+
+        assert corrupted.p2sm_state.verify_against_target() != []
+        assert sibling.p2sm_state.verify_against_target() == []
+        problems = manager.check_freshness()
+        assert problems
+        assert all(p.startswith(f"{corrupted.sandbox_id} ") for p in problems)

@@ -56,6 +56,7 @@ class TestRunBenches:
             "engine_heap_chaos",
             "engine_calendar_chaos",
             "p2sm_merge",
+            "p2sm_refresh",
             "coalesced_load",
             "chaos_e2e",
             "chaos_e2e_obs_on",
